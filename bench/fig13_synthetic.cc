@@ -20,6 +20,7 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
+    rejectUnknownArgs(argc, argv, {"--serial"}, {"--threads", "--json"});
     configureRuntimeThreads(argc, argv);
     const std::string json_path = parseOptionValue(argc, argv, "--json");
 
@@ -27,7 +28,7 @@ main(int argc, char **argv)
     const auto suite = syntheticSuite();
     const auto designs = ev.standardLineup();
 
-    // One batched parallel evaluation of the whole design x workload
+    // One batched evaluation of the whole design x workload
     // matrix; the metric tables below just index into it.
     const EvalMatrix matrix(ev, designs, suite);
     const auto at = [&](std::size_t d, std::size_t w) -> const EvalResult & {

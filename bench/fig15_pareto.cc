@@ -6,46 +6,13 @@
  * HighLight always sits on the frontier; S2TA cannot run the
  * attention models; DSTC can be worse than dense on the denser models.
  *
- * Every runDnn call fans its layers out over the parallel runtime and
- * dedupes repeated layer shapes through the eval cache. By default
- * the driver times the whole sweep serially too, verifies the results
- * are bit-identical, and reports the wall-clock speedup; `--serial`
- * runs only the one-thread fallback.
- *
- * `--prune` switches to the early-exit sweep: candidates are
- * submitted to the async service lowest-accuracy-loss first at
- * descending priority, and as soon as a completed candidate
- * dominates another's growing EDP lower bound, the dominated
- * candidate's queued layer evaluations are *cancelled* instead of
- * computed. The reclaimed work is reported as "evaluations saved";
- * the frontier is provably unchanged, which `--frontier-json` makes
- * checkable: the pruned and exhaustive dumps are byte-identical
- * (a smoke ctest asserts this, serial and parallel).
- *
- * `--shard i/N` runs this driver as one shard of a multi-process
- * sweep: each model's candidate list is partitioned with the
- * deterministic DesignSpaceExplorer::shardRange (a pure function of
- * (total, i, N), so N uncoordinated processes agree), the shard
- * evaluates only its own candidates (plus the dense-TC baseline,
- * which every shard needs for EDP normalization), and
- * `--frontier-json` dumps the shard's evaluated *points* instead of
- * a frontier. The examples/sharded_sweep supervisor forks N shards
- * sharing one `--cache-file` (safe: cache flushes are locked
- * merge-on-flush), merges the point dumps model-major in shard
- * order, and extracts a frontier byte-identical to this driver's
- * single-process dump — ctest-asserted by compare_shard.cmake,
- * which also asserts a second (warm) sharded run is 100% cache
- * hits. Sharding is deliberately exhaustive per shard: --prune's
- * cancellations are completion-timing-dependent, so a pruned
- * shard's evaluated-job set would vary run to run and break the
- * warm-run guarantee; the two flags therefore refuse to combine.
+ * `--frontier-json PATH` dumps the frontier points of every model.
  */
 
 #include <iostream>
 
 #include "common/table.hh"
 #include "core/evaluator.hh"
-#include "core/explorer.hh"
 #include "core/pareto.hh"
 #include "dnn/deit.hh"
 #include "dnn/resnet50.hh"
@@ -101,7 +68,7 @@ modelCases()
 
 /**
  * Evaluate every candidate on every model; the flat result vector
- * (model-major) is what the tables and the bit-identity check use.
+ * (model-major) is what `--json` dumps.
  */
 std::vector<DnnEvalResult>
 sweepAll(const Evaluator &ev)
@@ -113,21 +80,6 @@ sweepAll(const Evaluator &ev)
             out.push_back(ev.runDnn(model, nm, c));
     }
     return out;
-}
-
-bool
-bitIdentical(const std::vector<DnnEvalResult> &a,
-             const std::vector<DnnEvalResult> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].total_cycles != b[i].total_cycles ||
-            a[i].total_energy_pj != b[i].total_energy_pj ||
-            a[i].supported != b[i].supported)
-            return false;
-    }
-    return true;
 }
 
 /** Print one model's table; returns its frontier entries for --json. */
@@ -184,237 +136,20 @@ printModel(const Evaluator &ev, const DnnModel &model, DnnName nm)
     return frontier;
 }
 
-/**
- * The --shard i/N path: evaluate this shard's slice of every model's
- * candidate list and dump the evaluated points (not a frontier).
- * Returns the process exit code.
- */
-int
-runShard(const EvalCacheConfig &cache_cfg, const ShardSpec &shard,
-         const std::string &frontier_path, ArtifactFormat frontier_format)
-{
-    Evaluator ev(cache_cfg);
-    const auto candidates = candidatesFor();
-    std::vector<FrontierEntry> points;
-
-    TextTable t(msgOf("Fig 15 shard ", shard.str(),
-                      " (points; EDP normalized to dense TC)"));
-    t.setHeader({"model", "design", "accuracy loss", "norm. EDP"});
-    std::size_t evals = 0;
-    for (const auto &[model, nm] : modelCases()) {
-        // Every shard evaluates the dense-TC baseline: EDP is
-        // normalized to it, and through the shared cache file only
-        // the first shard to get there actually computes it.
-        const auto tc =
-            ev.runDnn(model, nm, {"TC", PruningApproach::Dense, 0.0});
-        ++evals;
-        const auto [begin, end] = DesignSpaceExplorer::shardRange(
-            candidates.size(), shard.index, shard.count);
-        for (std::size_t i = begin; i < end; ++i) {
-            const auto r = ev.runDnn(model, nm, candidates[i]);
-            ++evals;
-            if (!r.supported)
-                continue;
-            points.push_back({model.name, labelOf(candidates[i]),
-                              r.accuracy_loss, r.edp() / tc.edp()});
-            t.addRow({model.name, points.back().design,
-                      TextTable::fmt(points.back().accuracy_loss, 2),
-                      TextTable::fmt(points.back().norm_edp, 3)});
-        }
-    }
-    t.print(std::cout);
-
-    const auto stats = ev.cacheStats();
-    std::cout << "\n[runtime] shard " << shard.str() << " threads="
-              << ThreadPool::global().numThreads() << " dnn evals="
-              << evals << " cache hits=" << stats.hits
-              << " misses=" << stats.misses << " hit rate="
-              << TextTable::fmt(stats.hitRate() * 100.0, 1) << "%\n";
-
-    if (!frontier_path.empty() &&
-        !writeFrontierFile(frontier_path, points, frontier_format)) {
-        std::cerr << "fig15: cannot write " << frontier_path << "\n";
-        return 1;
-    }
-    // Merge this shard's results into the shared cache file now, so
-    // a save failure is reported while the sibling shards still run
-    // (the destructor's flush would only warn).
-    if (ev.flushCache() == EvalCache::FlushStatus::Failed) {
-        std::cerr << "fig15: shard " << shard.str()
-                  << " failed to save " << cache_cfg.file << "\n";
-        return 1;
-    }
-    return 0;
-}
-
-/**
- * The --prune path: one Pareto-pruned sweep per model through the
- * explorer's cancellation-backed paretoSweep. Returns the frontier
- * entries (byte-identical values to the exhaustive path).
- */
-std::vector<FrontierEntry>
-prunedModelSweep(const Evaluator &ev, const DesignSpaceExplorer &ex,
-                 const DnnModel &model, DnnName nm,
-                 ParetoSweepStats *total_stats)
-{
-    const auto scenarios = candidatesFor();
-    std::vector<ParetoCandidate> candidates;
-    candidates.reserve(scenarios.size());
-    for (const auto &c : scenarios) {
-        ParetoCandidate cand;
-        cand.label = labelOf(c);
-        cand.x = AccuracyModel::loss(nm, c.approach, c.weight_sparsity);
-        const Accelerator &accel = ev.design(c.design);
-        for (auto &w : ev.buildDnnWorkloads(model, c))
-            cand.jobs.push_back({&accel, w});
-        // The dense-TC baseline normalizes every EDP below; it must
-        // complete unconditionally (it is also the lowest-x point, so
-        // it would never be pruned anyway).
-        cand.never_prune =
-            c.design == "TC" && c.approach == PruningApproach::Dense;
-        candidates.push_back(std::move(cand));
-    }
-
-    const auto sweep = ex.paretoSweep(ev, candidates, /*prune=*/true);
-    total_stats->jobs_submitted += sweep.stats.jobs_submitted;
-    total_stats->jobs_skipped += sweep.stats.jobs_skipped;
-    total_stats->tickets_cancelled += sweep.stats.tickets_cancelled;
-    total_stats->evaluations_saved += sweep.stats.evaluations_saved;
-
-    const double tc_edp = sweep.outcomes.front().edp();
-    std::vector<ParetoPoint> points;
-    for (const auto &oc : sweep.outcomes) {
-        if (oc.completed && oc.supported)
-            points.push_back({oc.x, oc.edp() / tc_edp, oc.label});
-    }
-    const auto mask = frontierMask(points);
-
-    TextTable t("Fig 15 (pruned sweep): " + model.name +
-                " (EDP normalized to dense TC)");
-    t.setHeader({"design", "accuracy loss", "norm. EDP",
-                 "on Pareto frontier"});
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        t.addRow({points[i].label, TextTable::fmt(points[i].x, 2),
-                  TextTable::fmt(points[i].y, 3),
-                  mask[i] ? "YES" : ""});
-    }
-    t.print(std::cout);
-    std::size_t pruned = 0;
-    for (const auto &oc : sweep.outcomes) {
-        if (oc.pruned) {
-            ++pruned;
-            std::cout << "  pruned: " << oc.label << " (" << oc.note
-                      << ")\n";
-        }
-    }
-    std::cout << "  [prune] candidates pruned=" << pruned
-              << " jobs submitted=" << sweep.stats.jobs_submitted
-              << " skipped=" << sweep.stats.jobs_skipped
-              << " tickets cancelled="
-              << sweep.stats.tickets_cancelled
-              << " queued evals dropped="
-              << sweep.stats.evaluations_saved << "\n\n";
-
-    std::vector<FrontierEntry> frontier;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        if (mask[i])
-            frontier.push_back({model.name, points[i].label,
-                                points[i].x, points[i].y});
-    }
-    return frontier;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const DriverThreads threads = configureTimedDriverThreads(argc, argv);
-    const bool serial_only = threads.serial_only;
-    const bool prune = parseFlag(argc, argv, "--prune");
+    rejectUnknownArgs(argc, argv, {"--serial"},
+                      {"--threads", "--json", "--frontier-json"});
+    configureRuntimeThreads(argc, argv);
     const std::string json_path = parseOptionValue(argc, argv, "--json");
     const std::string frontier_path =
         parseOptionValue(argc, argv, "--frontier-json");
-    const ShardSpec shard = parseShardFlag(argc, argv);
 
-    // --cache-file makes the eval cache persistent; sharded runs use
-    // it to share one warm cache across the shard processes (flushes
-    // are locked merge-on-flush, so concurrent shards cannot clobber
-    // each other's entries).
-    EvalCacheConfig cache_cfg = EvalCacheConfig::fromEnv();
-    const std::string cache_file =
-        parseOptionValue(argc, argv, "--cache-file");
-    if (!cache_file.empty())
-        cache_cfg.file = cache_file;
-    cache_cfg.format = parseCacheFormatFlag(argc, argv, cache_cfg.format);
-
-    // --frontier-format picks the `--frontier-json` encoding: text
-    // (the default, and what the figure consumers read) or the binary
-    // container (what the sharded-sweep supervisor asks its shards
-    // for). Readers auto-detect, so the two interoperate.
-    const ArtifactFormat frontier_format = parseFormatFlag(
-        argc, argv, "--frontier-format", ArtifactFormat::Text);
-
-    if (shard.enabled()) {
-        if (prune)
-            fatal("--shard contradicts --prune: pruning decisions are "
-                  "completion-timing-dependent, so a pruned shard's "
-                  "evaluated-job set would vary run to run and break "
-                  "the warm-cache determinism sharding guarantees");
-        return runShard(cache_cfg, shard, frontier_path,
-                        frontier_format);
-    }
-
-    if (prune) {
-        // Early-exit sweep on a cold cache: every saved evaluation is
-        // work the exhaustive run would actually have done.
-        Evaluator ev(cache_cfg);
-        const DesignSpaceExplorer ex;
-        const WallTimer timer;
-        std::vector<FrontierEntry> frontier;
-        ParetoSweepStats stats;
-        for (const auto &[model, nm] : modelCases()) {
-            const auto f = prunedModelSweep(ev, ex, model, nm, &stats);
-            frontier.insert(frontier.end(), f.begin(), f.end());
-        }
-        std::cout << "[prune] total: jobs submitted="
-                  << stats.jobs_submitted << " skipped="
-                  << stats.jobs_skipped << " tickets cancelled="
-                  << stats.tickets_cancelled
-                  << " queued evals dropped="
-                  << stats.evaluations_saved
-                  << " evaluations saved=" << stats.reclaimed()
-                  << " ("
-                  << TextTable::fmt(timer.seconds() * 1e3, 2)
-                  << " ms, threads="
-                  << ThreadPool::global().numThreads() << ")\n";
-        if (!json_path.empty()) {
-            // Fail loudly: silently skipping the requested dump would
-            // hand a downstream script a missing (or stale) file.
-            std::cerr << "fig15: --json is unavailable with --prune "
-                         "(pruned candidates have no totals); use "
-                         "--frontier-json\n";
-            return 1;
-        }
-        if (!frontier_path.empty() &&
-            !writeFrontierFile(frontier_path, frontier,
-                               frontier_format)) {
-            std::cerr << "fig15: cannot write " << frontier_path
-                      << "\n";
-            return 1;
-        }
-        if (stats.reclaimed() == 0) {
-            std::cerr << "fig15: --prune saved no evaluations — "
-                         "pruning never reclaimed any work\n";
-            return 1;
-        }
-        return 0;
-    }
-
-    Evaluator ev(cache_cfg);
-    const WallTimer timer;
+    Evaluator ev;
     const auto results = sweepAll(ev);
-    const double sweep_seconds = timer.seconds();
 
     // The tables below replay the sweep against the warm cache.
     std::vector<FrontierEntry> frontier;
@@ -429,41 +164,18 @@ main(int argc, char **argv)
                  "sparsity\non the denser models.\n";
 
     const auto stats = ev.cacheStats();
-    std::cout << "\n[runtime] threads="
-              << ThreadPool::global().numThreads() << " dnn evals="
-              << results.size() << " cache hits=" << stats.hits
-              << " misses=" << stats.misses << " hit rate="
+    std::cout << "\n[runtime] dnn evals=" << results.size()
+              << " cache hits=" << stats.hits << " misses="
+              << stats.misses << " hit rate="
               << TextTable::fmt(stats.hitRate() * 100.0, 1) << "%\n";
     if (!json_path.empty() && !writeDnnResultsJson(json_path, results)) {
         std::cerr << "fig15: cannot write " << json_path << "\n";
         return 1;
     }
     if (!frontier_path.empty() &&
-        !writeFrontierFile(frontier_path, frontier, frontier_format)) {
+        !writeFrontierJson(frontier_path, frontier)) {
         std::cerr << "fig15: cannot write " << frontier_path << "\n";
         return 1;
     }
-    if (serial_only) {
-        std::cout << "[runtime] serial sweep: "
-                  << TextTable::fmt(sweep_seconds * 1e3, 2) << " ms\n";
-        return 0;
-    }
-    ThreadPool::setGlobalThreads(1);
-    const Evaluator ev_serial; // fresh cache for a fair pass
-    const WallTimer serial_timer;
-    const auto serial_results = sweepAll(ev_serial);
-    const double serial_seconds = serial_timer.seconds();
-    ThreadPool::setGlobalThreads(threads.requested);
-    const bool identical = bitIdentical(results, serial_results);
-    std::cout << "[runtime] parallel sweep: "
-              << TextTable::fmt(sweep_seconds * 1e3, 2)
-              << " ms, serial sweep: "
-              << TextTable::fmt(serial_seconds * 1e3, 2)
-              << " ms, speedup: "
-              << TextTable::fmt(serial_seconds / sweep_seconds, 2)
-              << "x, bit-identical: " << (identical ? "yes" : "NO")
-              << "\n";
-    // A determinism regression must fail the process so CI's smoke
-    // run catches it.
-    return identical ? 0 : 1;
+    return 0;
 }

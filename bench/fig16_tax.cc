@@ -17,6 +17,7 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
+    rejectUnknownArgs(argc, argv, {"--serial"}, {"--threads", "--json"});
     configureRuntimeThreads(argc, argv);
     const std::string json_path =
         parseOptionValue(argc, argv, "--json");
@@ -41,7 +42,7 @@ main(int argc, char **argv)
         header.push_back(c);
     header.push_back("total");
     e.setHeader(header);
-    // One batched parallel evaluation of the lineup on the workload.
+    // One batched evaluation of the lineup on the workload.
     const auto lineup = ev.standardLineup();
     std::vector<EvalJob> jobs;
     for (const Accelerator *d : lineup)

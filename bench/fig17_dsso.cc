@@ -10,27 +10,8 @@
  * into speedup; HighLight only gates operand B, so its speed stays at
  * the A-side 2x.
  *
- * The analytical evaluations are submitted through the async service
- * with priorities matching the table's consumption order (h
- * ascending), so the first row's wait() returns as early as possible.
- * `--prune` additionally submits a speculative extension of the sweep
- * (H up to 16) at low priority and sheds whatever is still unconsumed
- * with cancelAll() once the table is done — the abandoned-sweep
- * server pattern — reporting how many queued evaluations were
- * reclaimed. The `--json` dump covers only the tabulated degrees and
- * is byte-identical with or without --prune.
- *
- * `--shard i/N` evaluates only this shard's contiguous slice of the
- * degree list (DesignSpaceExplorer::shardRange — the same pure
- * partition function the fig15 shards use), so N processes sharing
- * one `--cache-file` split the sweep; the shard's `--json` dump is
- * the matching contiguous slice of the full run's array
- * (ctest-asserted by compare_shard.cmake, which re-assembles the
- * shards' dumps and byte-compares against the single-process dump).
- * --prune refuses to combine with --shard: whether a speculative
- * job lands before cancelAll() is timing-dependent, which would
- * make the shared cache's contents — and a warm rerun's hit rate —
- * nondeterministic.
+ * Each degree's analytical result is cross-checked against the two
+ * cycle-level micro-simulators on a down-sized instance.
  */
 
 #include <iostream>
@@ -38,7 +19,6 @@
 #include "common/random.hh"
 #include "common/table.hh"
 #include "core/evaluator.hh"
-#include "core/explorer.hh"
 #include "microsim/dsso_sim.hh"
 #include "microsim/simulator.hh"
 #include "runtime_flags.hh"
@@ -50,22 +30,10 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
-    const bool prune = parseFlag(argc, argv, "--prune");
+    rejectUnknownArgs(argc, argv, {"--serial"},
+                      {"--threads", "--json", "--group-rows"});
     configureRuntimeThreads(argc, argv);
     const std::string json_path = parseOptionValue(argc, argv, "--json");
-    const ShardSpec shard = parseShardFlag(argc, argv);
-    if (shard.enabled() && prune)
-        fatal("--shard contradicts --prune: speculative-shed timing "
-              "would make the shared cache contents nondeterministic");
-
-    // --cache-file: persistent eval cache, shareable across shard
-    // processes (flushes are locked merge-on-flush).
-    EvalCacheConfig cache_cfg = EvalCacheConfig::fromEnv();
-    const std::string cache_file =
-        parseOptionValue(argc, argv, "--cache-file");
-    if (!cache_file.empty())
-        cache_cfg.file = cache_file;
-    cache_cfg.format = parseCacheFormatFlag(argc, argv, cache_cfg.format);
     // Rows per shared operand-B pass for the microsim cross-checks
     // below (0 = auto). Outputs are byte-identical at any value, which
     // the smoke ctest asserts by diffing this driver's stdout across
@@ -73,9 +41,7 @@ main(int argc, char **argv)
     MicrosimConfig microsim_cfg;
     microsim_cfg.group_rows = parseGroupRowsFlag(argc, argv);
 
-    Evaluator ev(cache_cfg);
-    const Accelerator &hl = ev.design("HighLight");
-    const Accelerator &dsso = ev.design("DSSO");
+    Evaluator ev;
 
     /** The fig17 workload pair for one operand-B degree 2:h. */
     const auto workloadsFor = [&](int h) {
@@ -104,55 +70,12 @@ main(int argc, char **argv)
                  "DSSO speed", "DSSO / HighLight", "microsim ratio",
                  "microsim max|err|"});
 
-    // Submit every analytical evaluation up front through the async
-    // service; the per-degree microsim cross-checks below then overlap
-    // with the evaluations still in flight. Priorities follow the
-    // table's consumption order (h ascending), so the first wait()
-    // below blocks as briefly as possible.
-    struct DegreeJobs
-    {
-        int h = 0;
-        EvalService::Ticket dsso_ticket = 0;
-        EvalService::Ticket hl_ticket = 0;
-    };
-    // The tabulated degrees, h ascending; a shard submits (and
-    // cross-checks) only its contiguous slice, so the full table is
-    // the concatenation of the shards' tables in shard order.
-    std::vector<int> hs;
-    for (int h = 2; h <= 8; ++h)
-        hs.push_back(h);
-    const auto [h_begin, h_end] = DesignSpaceExplorer::shardRange(
-        hs.size(), shard.index, shard.count);
-
-    std::vector<DegreeJobs> degrees;
     std::vector<EvalResult> analytic; // dsso, hl per degree, h order
-    for (std::size_t i = h_begin; i < h_end; ++i) {
-        const int h = hs[i];
-        const auto [w, w_hl] = workloadsFor(h);
-        DegreeJobs d;
-        d.h = h;
-        d.dsso_ticket = ev.submit({&dsso, w}, /*priority=*/100 - h);
-        d.hl_ticket = ev.submit({&hl, w_hl}, /*priority=*/100 - h);
-        degrees.push_back(d);
-    }
-    // --prune: speculatively extend the sweep to sparser degrees at
-    // low priority. The table never consumes them; cancelAll() below
-    // sheds whatever the workers have not already picked up.
-    std::size_t speculative = 0;
-    if (prune) {
-        for (int h = 9; h <= 16; ++h) {
-            const auto [w, w_hl] = workloadsFor(h);
-            ev.submit({&dsso, w}, /*priority=*/-1);
-            ev.submit({&hl, w_hl}, /*priority=*/-1);
-            speculative += 2;
-        }
-    }
-
-    for (const DegreeJobs &d : degrees) {
-        const int h = d.h;
+    for (int h = 2; h <= 8; ++h) {
         const double b_density = 2.0 / h;
-        const EvalResult r_dsso = ev.service().wait(d.dsso_ticket);
-        const EvalResult r_hl = ev.service().wait(d.hl_ticket);
+        const auto [w, w_hl] = workloadsFor(h);
+        const EvalResult r_dsso = ev.run("DSSO", w);
+        const EvalResult r_hl = ev.run("HighLight", w_hl);
         analytic.push_back(r_dsso);
         analytic.push_back(r_hl);
 
@@ -195,26 +118,8 @@ main(int argc, char **argv)
                  "(B 2:4) and scales further with sparser B, at\nthe "
                  "cost of fewer supported operand-B degrees.\n";
 
-    if (prune) {
-        // The table is done — abandon the speculative tail. Queued
-        // evaluations are reclaimed outright; already-computed ones
-        // are discarded (and stay cached for a future sweep).
-        const std::size_t shed = ev.service().cancelAll();
-        std::cout << "\n[prune] speculative submissions="
-                  << speculative << " shed=" << shed
-                  << " evaluations saved="
-                  << ev.service().evaluationsSaved() << "\n";
-    }
-
     if (!json_path.empty() && !writeResultsJson(json_path, analytic)) {
         std::cerr << "fig17: cannot write " << json_path << "\n";
-        return 1;
-    }
-    // Merge into the (possibly shared) cache file now so a save
-    // failure fails the shard loudly instead of warning from the
-    // destructor's best-effort flush.
-    if (ev.flushCache() == EvalCache::FlushStatus::Failed) {
-        std::cerr << "fig17: failed to save " << cache_cfg.file << "\n";
         return 1;
     }
     return 0;

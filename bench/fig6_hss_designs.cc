@@ -57,11 +57,12 @@ main(int argc, char **argv)
 {
     using namespace highlight;
 
+    rejectUnknownArgs(argc, argv, {"--serial"}, {"--threads", "--json"});
     configureRuntimeThreads(argc, argv);
     const std::string json_path =
         parseOptionValue(argc, argv, "--json");
 
-    // Both designs analyzed as one batch on the parallel runtime
+    // Both designs analyzed as one batch on the thread pool
     // (bit-identical to serial analyze() calls).
     DesignSpaceExplorer explorer;
     const auto reports = explorer.analyzeMany(

@@ -1,23 +1,25 @@
 /**
  * @file
- * Shared runtime helpers for the figure drivers: a `--serial` flag
- * that pins the global thread pool to one thread (the debugging
- * fallback), `--json PATH` / `--cache-file PATH` option parsing, a
- * wall-clock timer so drivers can report the parallel-vs-serial
- * speedup of the evaluation runtime, the batched design x workload
- * result matrix the sweep drivers share, and a machine-readable JSON
- * dump of results (full-precision doubles, so a byte-compare of two
- * dumps is a bit-identity check — the smoke ctests diff the serial
- * and parallel dumps of every sweep driver).
+ * Shared command-line helpers for the figure drivers: rejection of
+ * arguments a driver does not parse, a `--serial` / `--threads N`
+ * pin of the global thread pool (used by the microsim and the
+ * format compression), `--json PATH` option parsing, the design x
+ * workload result matrix the sweep drivers share, and a
+ * machine-readable JSON dump of results (full-precision doubles, so
+ * a byte-compare of two dumps is a bit-identity check — the smoke
+ * ctests diff the serial and parallel dumps of every sweep driver
+ * and check them against golden digests).
  */
 
 #ifndef HIGHLIGHT_BENCH_RUNTIME_FLAGS_HH
 #define HIGHLIGHT_BENCH_RUNTIME_FLAGS_HH
 
-#include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -31,10 +33,7 @@
 namespace highlight
 {
 
-/**
- * A design x workload result matrix evaluated as one batch through
- * the evaluator's parallel runtime.
- */
+/** A design x workload result matrix evaluated as one batch. */
 class EvalMatrix
 {
   public:
@@ -64,6 +63,44 @@ class EvalMatrix
     std::size_t num_workloads_;
     std::vector<EvalResult> results_;
 };
+
+/**
+ * Exit with status 2, naming the argument, when argv holds anything
+ * the driver does not parse: a typo or a retired flag must not
+ * silently run a different configuration. `flags` take no value;
+ * `options` take one, as `--opt VALUE` or `--opt=VALUE`.
+ */
+inline void
+rejectUnknownArgs(int argc, char **argv,
+                  std::initializer_list<const char *> flags,
+                  std::initializer_list<const char *> options)
+{
+    for (int i = 1; i < argc; ++i) {
+        const char *arg = argv[i];
+        bool known = false;
+        for (const char *f : flags)
+            known |= std::strcmp(arg, f) == 0;
+        for (const char *o : options) {
+            const std::size_t n = std::strlen(o);
+            if (std::strcmp(arg, o) == 0) {
+                known = true;
+                if (i + 1 == argc) {
+                    std::cerr << argv[0] << ": " << o
+                              << " requires a value\n";
+                    std::exit(2);
+                }
+                ++i; // the value
+            } else if (std::strncmp(arg, o, n) == 0 && arg[n] == '=') {
+                known = true;
+            }
+        }
+        if (!known) {
+            std::cerr << argv[0] << ": unknown argument '" << arg
+                      << "'\n";
+            std::exit(2);
+        }
+    }
+}
 
 /** True when `flag` appears among the arguments. */
 inline bool
@@ -144,39 +181,6 @@ configureRuntimeThreads(int argc, char **argv)
 }
 
 /**
- * Artifact format requested on the command line as `--<flag> F` /
- * `--<flag>=F` with F in {text, binary}; `fallback` when the flag is
- * absent. A malformed or bare flag is a user error and fatal — same
- * contract as `--threads` — while the HIGHLIGHT_CACHE_FORMAT env knob
- * warns and falls back instead (typed flags are deliberate, inherited
- * environments often are not).
- */
-inline ArtifactFormat
-parseFormatFlag(int argc, char **argv, const char *flag,
-                ArtifactFormat fallback)
-{
-    const std::string v = parseOptionValue(argc, argv, flag);
-    if (!v.empty()) {
-        ArtifactFormat format = fallback;
-        if (!parseArtifactFormat(v.c_str(), &format))
-            fatal(msgOf(flag, " ", v, ": expected text or binary"));
-        return format;
-    }
-    if (parseFlag(argc, argv, flag) ||
-        parseFlag(argc, argv, (std::string(flag) + "=").c_str()))
-        fatal(msgOf(flag, " requires a value"));
-    return fallback;
-}
-
-/** `--cache-format {text,binary}`: the persisted eval-cache encoding,
- *  overriding HIGHLIGHT_CACHE_FORMAT / the binary default. */
-inline ArtifactFormat
-parseCacheFormatFlag(int argc, char **argv, ArtifactFormat fallback)
-{
-    return parseFormatFlag(argc, argv, "--cache-format", fallback);
-}
-
-/**
  * Rows per shared operand-B pass requested on the command line:
  * `--group-rows N` (strictly parsed), otherwise 0 = the simulator's
  * auto resolution. Purely a host-performance knob — the microsim's
@@ -200,34 +204,6 @@ parseGroupRowsFlag(int argc, char **argv)
         fatal("--group-rows requires a value");
     return 0;
 }
-
-/**
- * Resolved thread policy for the drivers that time a parallel-vs-
- * serial pass (fig14, fig15): both `--serial` and `--threads 1` pin
- * one thread AND skip the timing pass (comparing a 1-thread pool
- * against itself is meaningless). After the serial timing leg, the
- * driver restores the pool with setGlobalThreads(requested).
- */
-struct DriverThreads
-{
-    int requested = 0;        ///< setGlobalThreads argument (0 = default).
-    bool serial_only = false; ///< Skip the parallel-vs-serial pass.
-};
-
-inline DriverThreads
-configureTimedDriverThreads(int argc, char **argv)
-{
-    DriverThreads t;
-    t.requested = parseThreadsFlag(argc, argv);
-    t.serial_only = t.requested == 1;
-    ThreadPool::setGlobalThreads(t.requested);
-    return t;
-}
-
-// jsonQuote / FrontierEntry / writeFrontierJson now live in
-// core/frontier_io.hh (included above) so the sharded-sweep
-// supervisor example can read, merge and re-emit frontier dumps
-// without depending on this bench-only header.
 
 /**
  * Dump eval results as a JSON array. Doubles print with max_digits10
@@ -280,60 +256,6 @@ writeDnnResultsJson(const std::string &path,
 }
 
 /**
- * One shard of a deterministically partitioned multi-process sweep:
- * `--shard i/N` (strictly parsed, like --threads: a malformed value
- * is fatal, because a silently ignored typo would run the full sweep
- * N times instead of 1/N of it N times). index is in [0, count).
- */
-struct ShardSpec
-{
-    int index = 0;
-    int count = 1;
-
-    /** True when the driver runs as one shard of a larger sweep. */
-    bool enabled() const { return count > 1; }
-
-    std::string str() const { return msgOf(index, "/", count); }
-};
-
-/** Parse `--shard i/N` / `--shard=i/N`; {0,1} when absent. */
-inline ShardSpec
-parseShardFlag(int argc, char **argv)
-{
-    const std::string v = parseOptionValue(argc, argv, "--shard");
-    if (v.empty()) {
-        if (parseFlag(argc, argv, "--shard") ||
-            parseFlag(argc, argv, "--shard="))
-            fatal("--shard requires a value (i/N)");
-        return ShardSpec{};
-    }
-    const auto slash = v.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= v.size())
-        fatal(msgOf("--shard ", v, ": expected i/N (e.g. 0/4)"));
-    long long index = 0, count = 0;
-    // parsePositiveInt rejects 0, so parse index+1 semantics by hand:
-    // the index may be 0, the count must be >= 1.
-    const std::string index_s = v.substr(0, slash);
-    const std::string count_s = v.substr(slash + 1);
-    if (!parsePositiveInt(count_s.c_str(), 1 << 20, &count))
-        fatal(msgOf("--shard ", v,
-                    ": shard count must be a positive integer <= 2^20"));
-    if (index_s == "0") {
-        index = 0;
-    } else if (!parsePositiveInt(index_s.c_str(), 1 << 20, &index)) {
-        fatal(msgOf("--shard ", v,
-                    ": shard index must be an integer in [0, N)"));
-    }
-    if (index >= count)
-        fatal(msgOf("--shard ", v, ": index must be < count"));
-    ShardSpec s;
-    s.index = static_cast<int>(index);
-    s.count = static_cast<int>(count);
-    return s;
-}
-
-/**
  * Dump one driver's TextTable for `--json PATH` (see
  * TextTable::printJson for the byte-compare property). Used by the
  * table/ablation drivers, whose tabulated strings are their entire
@@ -366,23 +288,6 @@ writeTablesJson(const std::string &path,
     out << "]\n";
     return static_cast<bool>(out);
 }
-
-/** Monotonic wall-clock stopwatch. */
-class WallTimer
-{
-  public:
-    WallTimer() : start_(std::chrono::steady_clock::now()) {}
-
-    double
-    seconds() const
-    {
-        const auto now = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(now - start_).count();
-    }
-
-  private:
-    std::chrono::steady_clock::time_point start_;
-};
 
 } // namespace highlight
 

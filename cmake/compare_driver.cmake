@@ -4,8 +4,15 @@
 # files <=> bit-identical results — this is the ctest-level
 # thread-count determinism check for every sweep driver.
 #
+# With -DGOLDEN=<file>, the parallel dump's SHA-256 must also equal
+# the digest recorded for NAME in that file (lines "<sha256>  <name>"),
+# so the output stays byte-identical across changes to the code, not
+# only across thread counts. With -DFRONTIER=ON the --serial run also
+# writes --frontier-json, checked against the entry "<NAME>_frontier".
+#
 # Usage:
-#   cmake -DDRIVER=<exe> -DOUTDIR=<dir> -DNAME=<tag> -P compare_driver.cmake
+#   cmake -DDRIVER=<exe> -DOUTDIR=<dir> -DNAME=<tag>
+#         [-DGOLDEN=<file>] [-DFRONTIER=ON] -P compare_driver.cmake
 
 foreach(var DRIVER OUTDIR NAME)
   if(NOT DEFINED ${var})
@@ -23,7 +30,13 @@ if(NOT par_rc EQUAL 0)
   message(FATAL_ERROR "${NAME}: parallel run failed (rc=${par_rc})")
 endif()
 
+set(frontier_json "${OUTDIR}/${NAME}_frontier.json")
+set(frontier_args)
+if(FRONTIER)
+  set(frontier_args --frontier-json "${frontier_json}")
+endif()
 execute_process(COMMAND "${DRIVER}" --serial --json "${ser_json}"
+                        ${frontier_args}
                 RESULT_VARIABLE ser_rc OUTPUT_QUIET)
 if(NOT ser_rc EQUAL 0)
   message(FATAL_ERROR "${NAME}: --serial run failed (rc=${ser_rc})")
@@ -51,3 +64,27 @@ foreach(variant "${ser_json}" "${two_json}")
             "bit-identical any-thread-count guarantee is broken")
   endif()
 endforeach()
+
+# Digest of `file` must match the golden entry `entry`.
+function(check_golden file entry)
+  file(STRINGS "${GOLDEN}" lines REGEX "^[0-9a-f]+  ${entry}$")
+  list(LENGTH lines n)
+  if(NOT n EQUAL 1)
+    message(FATAL_ERROR "${NAME}: no golden digest for ${entry} in "
+                        "${GOLDEN}")
+  endif()
+  string(REGEX REPLACE "^([0-9a-f]+)  .*$" "\\1" expected "${lines}")
+  file(SHA256 "${file}" actual)
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR
+            "${NAME}: ${file} has SHA-256 ${actual}, golden ${expected} "
+            "— the driver's output changed")
+  endif()
+endfunction()
+
+if(DEFINED GOLDEN)
+  check_golden("${par_json}" "${NAME}")
+  if(FRONTIER)
+    check_golden("${frontier_json}" "${NAME}_frontier")
+  endif()
+endif()

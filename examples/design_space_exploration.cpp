@@ -26,7 +26,7 @@ main()
     std::cout << "\n\n";
 
     // Candidate hardware configurations, analyzed as one batch on the
-    // parallel runtime (results come back in input order).
+    // thread pool (results come back in input order).
     const std::vector<HssDesignConfig> configs = {
         DesignSpaceExplorer::designS(),
         DesignSpaceExplorer::designSS(),

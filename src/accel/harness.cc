@@ -55,9 +55,22 @@ SuiteResult::geomeanEdp() const
     return geomean(edps);
 }
 
-// evaluateSuite lives in src/runtime/suite_runner.cc: it fans the
-// design x workload matrix out through the batched parallel runtime,
-// which layers above accel/.
+std::vector<SuiteResult>
+evaluateSuite(const std::vector<const Accelerator *> &designs,
+              const std::vector<GemmWorkload> &suite)
+{
+    std::vector<SuiteResult> all;
+    all.reserve(designs.size());
+    for (const Accelerator *design : designs) {
+        SuiteResult sr;
+        sr.design = design->name();
+        sr.results.reserve(suite.size());
+        for (const auto &w : suite)
+            sr.results.push_back(evaluateBest(*design, w));
+        all.push_back(std::move(sr));
+    }
+    return all;
+}
 
 std::vector<std::unique_ptr<Accelerator>>
 standardDesigns()

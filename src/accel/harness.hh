@@ -26,6 +26,13 @@ namespace highlight
  */
 EvalResult evaluateBest(const Accelerator &accel, const GemmWorkload &w);
 
+/** One evaluation job: a design applied to a workload. */
+struct EvalJob
+{
+    const Accelerator *design = nullptr;
+    GemmWorkload workload;
+};
+
 /** Result of a full suite evaluation for one design. */
 struct SuiteResult
 {
@@ -37,12 +44,8 @@ struct SuiteResult
 };
 
 /**
- * Evaluate a set of designs across a workload suite (with swapping).
- *
- * Defined in src/runtime/suite_runner.cc: the whole design x workload
- * matrix runs as one batch on the parallel evaluation runtime, deduped
- * through a suite-local EvalCache. Results are in (design, workload)
- * input order and bit-identical to evaluating each cell serially.
+ * Evaluate a set of designs across a workload suite (with swapping),
+ * serially; results are in (design, workload) input order.
  */
 std::vector<SuiteResult> evaluateSuite(
     const std::vector<const Accelerator *> &designs,

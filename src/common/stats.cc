@@ -78,8 +78,8 @@ binomialPmf(int n, int k, double p)
     if (p >= 1.0)
         return k == n ? 1.0 : 0.0;
     // log C(n,k) via lgamma keeps the computation stable for large n.
-    // lgamma_r, not std::lgamma: the latter writes the global signgam
-    // and the evaluation runtime calls this from concurrent workers.
+    // lgamma_r, not std::lgamma: the latter writes the global signgam,
+    // a data race whenever two threads evaluate at once.
     const auto lgamma_ts = [](double x) {
         int sign = 0;
         return ::lgamma_r(x, &sign);

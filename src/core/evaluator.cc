@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "accel/dsso.hh"
 #include "common/logging.hh"
@@ -16,7 +17,7 @@ DnnEvalResult::edp() const
     return total_energy_pj * 1e-12 * seconds;
 }
 
-Evaluator::Evaluator() : Evaluator(EvalCacheConfig::fromEnv())
+Evaluator::Evaluator() : Evaluator(EvalCacheConfig{})
 {
 }
 
@@ -61,69 +62,17 @@ EvalResult
 Evaluator::run(const std::string &design_name,
                const GemmWorkload &w) const
 {
-    // Through the service, not cache_.evaluate() directly, so a run()
-    // racing a runBatch() with the same key shares the in-flight
-    // computation and the exactly-one-miss-per-unique-key stats
-    // contract holds across every entry point.
-    return runner().run({{&design(design_name), w}}).front();
-}
-
-BatchRunner &
-Evaluator::runner() const
-{
-    // Lazy so the worker count reflects the global pool (and thus any
-    // --serial / HIGHLIGHT_THREADS pin) at first use, not at
-    // construction.
-    MutexLock lock(runner_mu_);
-    if (!runner_)
-        runner_ = std::make_unique<BatchRunner>(&cache_);
-    // Dereferenced under the lock; the BatchRunner itself is
-    // internally synchronized, so handing out the reference is safe
-    // once the unique_ptr is populated (it is never reset).
-    return *runner_;
+    return cache_.evaluate(design(design_name), w);
 }
 
 std::vector<EvalResult>
 Evaluator::runBatch(const std::vector<EvalJob> &jobs) const
 {
-    return runner().run(jobs);
-}
-
-std::vector<EvalResult>
-Evaluator::runBatch(
-    const std::vector<EvalJob> &jobs,
-    const std::function<void(std::size_t, const EvalResult &)> &on_result)
-    const
-{
-    return runner().run(jobs, on_result);
-}
-
-std::vector<EvalResult>
-Evaluator::runBatch(
-    const std::vector<EvalJob> &jobs,
-    const std::function<void(std::size_t, const EvalResult &,
-                             BatchRunner::Stream &)> &on_result,
-    int priority) const
-{
-    return runner().run(jobs, on_result, priority);
-}
-
-EvalService::Ticket
-Evaluator::submit(const EvalJob &job, int priority) const
-{
-    return service().submit(job, priority);
-}
-
-bool
-Evaluator::cancel(EvalService::Ticket ticket) const
-{
-    return service().cancel(ticket);
-}
-
-EvalService &
-Evaluator::service() const
-{
-    return runner().service();
+    std::vector<EvalResult> out;
+    out.reserve(jobs.size());
+    for (const auto &j : jobs)
+        out.push_back(cache_.evaluate(*j.design, j.workload));
+    return out;
 }
 
 namespace
@@ -149,6 +98,9 @@ std::vector<GemmWorkload>
 Evaluator::buildDnnWorkloads(const DnnModel &model,
                              const DnnScenario &scenario) const
 {
+    // The HSS spec depends only on the scenario's density, so it is
+    // chosen once, at the first prunable layer.
+    std::optional<HssSpec> hss_spec;
     std::vector<GemmWorkload> suite;
     for (const auto &layer : model.layers) {
         GemmWorkload w;
@@ -174,8 +126,10 @@ Evaluator::buildDnnWorkloads(const DnnModel &model,
                     oneRankSpecFor(scenario.design, density));
                 break;
               case PruningApproach::Hss:
-                w.a = OperandSparsity::structured(chooseSpecForDensity(
-                    highlightWeightSupport(), density));
+                if (!hss_spec)
+                    hss_spec = chooseSpecForDensity(
+                        highlightWeightSupport(), density);
+                w.a = OperandSparsity::structured(*hss_spec);
                 break;
               case PruningApproach::Channel:
                 // Channel pruning removes whole output channels: the
@@ -204,24 +158,13 @@ Evaluator::runDnn(const DnnModel &model, DnnName accuracy_model,
     out.accuracy_loss = AccuracyModel::loss(
         accuracy_model, scenario.approach, scenario.weight_sparsity);
 
-    const auto suite = buildDnnWorkloads(model, scenario);
     const Accelerator &accel = design(scenario.design);
-
-    // Evaluate all layers concurrently (deduped through the cache),
-    // then reduce serially in layer order: the accumulation below is
-    // the same floating-point sequence as the old serial loop.
-    std::vector<EvalJob> jobs;
-    jobs.reserve(suite.size());
-    for (const auto &w : suite)
-        jobs.push_back({&accel, w});
-    std::vector<EvalResult> results = runBatch(jobs);
-
-    for (EvalResult &r : results) {
+    for (const auto &w : buildDnnWorkloads(model, scenario)) {
+        EvalResult r = cache_.evaluate(accel, w);
         if (!r.supported) {
             // A design that cannot run every layer cannot run the
             // network (Fig 15: S2TA fails on attention models' dense
-            // layers). First failing layer in layer order wins, as in
-            // the serial early-exit path.
+            // layers). The first failing layer in layer order wins.
             out.supported = false;
             out.note = msgOf("layer ", r.workload, ": ", r.note);
             out.per_layer.clear();

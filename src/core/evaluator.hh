@@ -12,16 +12,14 @@
 #ifndef HIGHLIGHT_CORE_EVALUATOR_HH
 #define HIGHLIGHT_CORE_EVALUATOR_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "accel/harness.hh"
 #include "accuracy/accuracy_model.hh"
-#include "common/mutex.hh"
 #include "dnn/layer.hh"
-#include "runtime/batch_runner.hh"
+#include "runtime/eval_cache.hh"
 
 namespace highlight
 {
@@ -49,19 +47,16 @@ struct DnnEvalResult
 };
 
 /**
- * Owns the design lineup and runs experiments.
+ * Owns the design lineup and runs experiments. Evaluation is serial
+ * and memoized; an Evaluator is not safe to share across threads.
  */
 class Evaluator
 {
   public:
-    /**
-     * Builds TC, STC, S2TA, DSTC, HighLight and DSSO. The memo cache
-     * is configured from the environment (HIGHLIGHT_CACHE_CAP bounds
-     * it, HIGHLIGHT_CACHE_FILE makes it persistent and pre-loads it).
-     */
+    /** Builds TC, STC, S2TA, DSTC, HighLight and DSSO. */
     Evaluator();
 
-    /** Same lineup with an explicit cache configuration. */
+    /** Same lineup; EvalCacheConfig carries no options. */
     explicit Evaluator(const EvalCacheConfig &cache_config);
 
     /** All designs (stable order: TC, STC, S2TA, DSTC, HighLight, DSSO). */
@@ -75,72 +70,17 @@ class Evaluator
 
     /**
      * Evaluate one workload on one design with operand swapping
-     * (memoized through the evaluator's cache). Routed through the
-     * shared async service — starting its worker crew on first use —
-     * so a run() racing a runBatch() on the same key shares the
-     * in-flight evaluation and the cache stats stay exact.
+     * (memoized through the evaluator's cache).
      */
     EvalResult run(const std::string &design_name,
                    const GemmWorkload &w) const;
 
     /**
-     * Evaluate a batch of heterogeneous (design, workload) jobs on
-     * the evaluator's async service through the cache. Results come
-     * back in input order and are bit-identical to evaluating each
-     * job serially, independent of the worker count.
+     * Evaluate a batch of heterogeneous (design, workload) jobs
+     * through the cache, serially and in input order.
      */
     std::vector<EvalResult> runBatch(
         const std::vector<EvalJob> &jobs) const;
-
-    /**
-     * Streaming runBatch: additionally calls on_result(index, result)
-     * as each job lands (in completion order). The returned vector is
-     * still in input order. Unlike the blocking runBatch(), a
-     * streaming call needs exclusive use of this Evaluator's service:
-     * its drain claims every outstanding ticket, so it must not
-     * overlap any other runBatch()/run()/service() activity on the
-     * same Evaluator (panics on a foreign ticket).
-     */
-    std::vector<EvalResult> runBatch(
-        const std::vector<EvalJob> &jobs,
-        const std::function<void(std::size_t, const EvalResult &)>
-            &on_result) const;
-
-    /**
-     * Cancellable streaming runBatch: the callback's Stream
-     * controller can drop still-pending jobs mid-batch (queued
-     * evaluations never run). Cancelled slots come back as
-     * unsupported placeholders with note "cancelled". Same
-     * exclusive-use caveat as the streaming overload.
-     */
-    std::vector<EvalResult> runBatch(
-        const std::vector<EvalJob> &jobs,
-        const std::function<void(std::size_t, const EvalResult &,
-                                 BatchRunner::Stream &)> &on_result,
-        int priority = 0) const;
-
-    /**
-     * Submit one job to the persistent service without blocking;
-     * higher priority jobs are evaluated first. Claim the result
-     * later with service().wait(ticket) (or tryNext/drain).
-     */
-    EvalService::Ticket submit(const EvalJob &job,
-                               int priority = 0) const;
-
-    /**
-     * Cancel a submitted-but-unclaimed ticket on the persistent
-     * service (see EvalService::cancel for the exact semantics).
-     */
-    bool cancel(EvalService::Ticket ticket) const;
-
-    /**
-     * The evaluator's async evaluation service: submit(EvalJob) now
-     * (optionally with priority/deadline), wait()/tryNext()/drain()
-     * later, cancel()/cancelAll() to shed abandoned work. Lazily
-     * started with the global thread pool's worker count at first
-     * use.
-     */
-    EvalService &service() const;
 
     /**
      * Build the per-layer workloads for a DNN under a scenario: the
@@ -152,37 +92,19 @@ class Evaluator
         const DnnModel &model, const DnnScenario &scenario) const;
 
     /**
-     * Evaluate a DNN end to end under a scenario. Layers are
-     * evaluated concurrently on the global thread pool, repeated
-     * layer shapes are deduped through the cache, and the totals are
-     * accumulated serially in layer order, so the result is
-     * bit-identical to the serial path at any thread count.
+     * Evaluate a DNN end to end under a scenario: layers run through
+     * the cache in layer order (repeated layer shapes are hits) and
+     * the totals accumulate in that order.
      */
     DnnEvalResult runDnn(const DnnModel &model, DnnName accuracy_model,
                          const DnnScenario &scenario) const;
 
-    /** Hit/miss/eviction counters of the memoization cache. */
+    /** Hit/miss/insertion counters of the memoization cache. */
     EvalCacheStats cacheStats() const { return cache_.stats(); }
 
-    /**
-     * Save the cache to its configured persistence file (locked
-     * merge-on-flush; see EvalCache::saveFile). The status separates
-     * "no file configured" from a real I/O failure so drivers can
-     * report a dropped warm cache instead of silently losing it.
-     */
-    EvalCache::FlushStatus flushCache() const { return cache_.flush(); }
-
-    /** Drop all cached evaluations and reset the counters. */
-    void clearCache() const { cache_.clear(); }
-
   private:
-    /** The lazily-started batch runner backing runBatch()/service(). */
-    BatchRunner &runner() const;
-
     std::vector<std::unique_ptr<Accelerator>> owned_;
     mutable EvalCache cache_;
-    mutable Mutex runner_mu_; ///< Guards runner_ creation.
-    mutable std::unique_ptr<BatchRunner> runner_ GUARDED_BY(runner_mu_);
 };
 
 } // namespace highlight

@@ -1,14 +1,9 @@
 /**
  * @file
- * Codec for the versioned bench summary (the BENCH_microsim.json
- * artifact CI uploads to record the perf trajectory PR over PR).
- *
- * The text form is byte-for-byte the `highlight-bench-v1` JSON that
- * bench_kernels has always emitted — CI's json.tool / grep validation
- * keeps working unchanged — and stays the default for the checked-in
- * ledger, which wants to be diffable. The binary form packs the same
- * rows into the ArtifactFile container (kind "bench") for large
- * sweep histories. Readers auto-detect the format.
+ * Writer for the versioned bench summary (the BENCH_microsim.json
+ * artifact CI uploads to record the perf trajectory): the
+ * `highlight-bench-v1` JSON that CI's json.tool / grep validation
+ * reads.
  */
 
 #ifndef HIGHLIGHT_IO_BENCH_IO_HH
@@ -17,13 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "io/codec.hh"
-
 namespace highlight
 {
-
-/** Bumped whenever the bench row schema changes. */
-constexpr int kBenchFileVersion = 1;
 
 /** One benchmark result row. */
 struct BenchEntry
@@ -34,21 +24,11 @@ struct BenchEntry
 };
 
 /**
- * Write a bench summary for `suite` to `path` in `format` (atomically
- * truncating); false on I/O failure. Text is the legacy
- * highlight-bench-v1 JSON, byte-for-byte.
+ * Write a bench summary for `suite` to `path` (truncating); false on
+ * I/O failure.
  */
 bool writeBenchFile(const std::string &path, const std::string &suite,
-                    const std::vector<BenchEntry> &entries,
-                    ArtifactFormat format);
-
-/**
- * Read a bench summary in whichever format it was written (container
- * magic sniff). False — leaving *suite / *out empty — on a missing,
- * corrupt, or version-mismatched file; no partial loads.
- */
-bool readBenchFile(const std::string &path, std::string *suite,
-                   std::vector<BenchEntry> *out);
+                    const std::vector<BenchEntry> &entries);
 
 } // namespace highlight
 

@@ -1,24 +1,14 @@
 /**
  * @file
- * EvalCache LRU and persistence properties: the capacity invariant,
- * eviction order, exact stats accounting, and the on-disk round trip
- * including corrupted and stale cache files. The async/stress
- * coverage lives in test_async.cc.
+ * EvalCache properties: exact hit/miss/insert accounting, first
+ * insertion wins, and hits that are bit-identical to a fresh
+ * evaluation apart from the patched workload name.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
-#include <unistd.h>
-
-#include "common/failpoint.hh"
-#include "common/file_lock.hh"
 #include "core/evaluator.hh"
 #include "runtime/eval_cache.hh"
 
@@ -40,18 +30,6 @@ makeWorkload(const std::string &name, std::int64_t m)
     return w;
 }
 
-/** A scratch file path removed on scope exit. */
-struct TempFile
-{
-    explicit TempFile(const std::string &name)
-        : path(::testing::TempDir() + name)
-    {
-        std::remove(path.c_str());
-    }
-    ~TempFile() { std::remove(path.c_str()); }
-    std::string path;
-};
-
 void
 expectBitIdentical(const EvalResult &a, const EvalResult &b)
 {
@@ -72,120 +50,7 @@ expectBitIdentical(const EvalResult &a, const EvalResult &b)
     }
 }
 
-TEST(CachePersist, SaveIsAtomicAndLeavesNoTempFile)
-{
-    const Evaluator ev;
-    TempFile file("atomic_save.evalcache");
-
-    EvalCache cache;
-    cache.insert("k1", ev.run("TC", makeWorkload("w1", 64)));
-    ASSERT_TRUE(cache.saveFile(file.path));
-    // Saving over an existing (here: deliberately corrupt) file must
-    // replace it wholesale — the write goes to a same-directory temp
-    // that is renamed into place, so no reader can ever observe a
-    // truncated half-file.
-    {
-        std::ofstream corrupt(file.path, std::ios::trunc);
-        corrupt << "half-written garbage";
-    }
-    cache.insert("k2", ev.run("TC", makeWorkload("w2", 128)));
-    ASSERT_TRUE(cache.saveFile(file.path));
-
-    EvalCache reloaded;
-    EXPECT_TRUE(reloaded.loadFile(file.path));
-    EXPECT_EQ(reloaded.size(), 2u);
-
-    // The temp file is renamed away on success and removed on
-    // failure; either way nothing with the temp prefix survives.
-    const std::string tmp_prefix = "atomic_save.evalcache.tmp.";
-    for (const auto &entry :
-         std::filesystem::directory_iterator(::testing::TempDir())) {
-        EXPECT_NE(entry.path().filename().string().rfind(tmp_prefix, 0),
-                  0u)
-            << "leftover temp file: " << entry.path();
-    }
-
-    // An unwritable target fails cleanly (no exception, no temp).
-    EXPECT_FALSE(cache.saveFile("/nonexistent-dir/x.evalcache"));
-}
-
-TEST(CacheConfig, FromEnvRejectsGarbageCapacity)
-{
-    const char *prev = std::getenv("HIGHLIGHT_CACHE_CAP");
-    const std::string saved = prev ? prev : "";
-
-    // "-1" used to wrap through unsigned parsing into a practically
-    // unbounded capacity; now anything unparsable warns and leaves
-    // the cache unbounded (capacity 0).
-    for (const char *garbage : {"-1", "4x", "1e6", "0", ""}) {
-        ASSERT_EQ(setenv("HIGHLIGHT_CACHE_CAP", garbage, 1), 0);
-        EXPECT_EQ(EvalCacheConfig::fromEnv().capacity, 0u)
-            << "HIGHLIGHT_CACHE_CAP=" << garbage;
-    }
-    ASSERT_EQ(setenv("HIGHLIGHT_CACHE_CAP", "17", 1), 0);
-    EXPECT_EQ(EvalCacheConfig::fromEnv().capacity, 17u);
-
-    if (prev)
-        ASSERT_EQ(setenv("HIGHLIGHT_CACHE_CAP", saved.c_str(), 1), 0);
-    else
-        ASSERT_EQ(unsetenv("HIGHLIGHT_CACHE_CAP"), 0);
-}
-
-TEST(CacheLru, CapacityInvariantHoldsUnderInserts)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalCache cache;
-    cache.setCapacity(4);
-    EXPECT_EQ(cache.capacity(), 4u);
-
-    for (int i = 0; i < 10; ++i) {
-        cache.evaluate(tc, makeWorkload("w", 8 + i));
-        EXPECT_LE(cache.size(), 4u); // never exceeded, even transiently
-    }
-    const auto s = cache.stats();
-    EXPECT_EQ(s.insertions, 10u);
-    EXPECT_EQ(s.evictions, 6u);
-    EXPECT_EQ(s.misses, 10u);
-    EXPECT_EQ(s.hits, 0u);
-    EXPECT_EQ(cache.size(), 4u);
-}
-
-TEST(CacheLru, EvictionDropsColdestAndLookupRefreshes)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    EvalCache cache;
-    cache.setCapacity(3);
-
-    const auto wa = makeWorkload("a", 8);
-    const auto wb = makeWorkload("b", 16);
-    const auto wc = makeWorkload("c", 24);
-    const auto wd = makeWorkload("d", 32);
-    const std::string ka = EvalCache::keyOf("TC", wa);
-    const std::string kb = EvalCache::keyOf("TC", wb);
-    const std::string kc = EvalCache::keyOf("TC", wc);
-    const std::string kd = EvalCache::keyOf("TC", wd);
-
-    cache.evaluate(tc, wa);
-    cache.evaluate(tc, wb);
-    cache.evaluate(tc, wc);
-    EXPECT_EQ(cache.keysMruFirst(), (std::vector<std::string>{kc, kb, ka}));
-
-    // Touching `a` makes `b` the coldest entry …
-    EvalResult r;
-    EXPECT_TRUE(cache.lookup(ka, "a2", &r));
-    EXPECT_EQ(r.workload, "a2");
-    EXPECT_EQ(cache.keysMruFirst(), (std::vector<std::string>{ka, kc, kb}));
-
-    // … so inserting `d` evicts `b`, not `a`.
-    cache.evaluate(tc, wd);
-    EXPECT_EQ(cache.keysMruFirst(), (std::vector<std::string>{kd, ka, kc}));
-    EXPECT_FALSE(cache.lookup(kb, "b", &r));
-    EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(CacheLru, StatsAreExactAndConsistent)
+TEST(EvalCache, StatsAreExactAndConsistent)
 {
     const Evaluator ev;
     const Accelerator &tc = ev.design("TC");
@@ -195,604 +60,55 @@ TEST(CacheLru, StatsAreExactAndConsistent)
         for (int i = 0; i < 5; ++i)
             cache.evaluate(tc, makeWorkload("w", 8 + i));
     }
-    cache.noteHit();
     const auto s = cache.stats();
     EXPECT_EQ(s.misses, 5u);
-    EXPECT_EQ(s.hits, 11u); // 2 warm rounds x 5 + noteHit
+    EXPECT_EQ(s.hits, 10u); // 2 warm rounds x 5
     EXPECT_EQ(s.lookups(), s.hits + s.misses);
     EXPECT_EQ(s.insertions, 5u);
-    EXPECT_EQ(s.evictions, 0u);
-    EXPECT_DOUBLE_EQ(s.hitRate(), 11.0 / 16.0);
+    EXPECT_EQ(cache.size(), 5u);
+    EXPECT_DOUBLE_EQ(s.hitRate(), 10.0 / 15.0);
+    EXPECT_EQ(EvalCacheStats().hitRate(), 0.0);
 }
 
-TEST(CacheLru, ShrinkingCapacityEvictsImmediately)
+TEST(EvalCache, LookupCountsMissThenHitWithPatchedName)
 {
     const Evaluator ev;
     const Accelerator &tc = ev.design("TC");
-    EvalCache cache;
-    for (int i = 0; i < 6; ++i)
-        cache.evaluate(tc, makeWorkload("w", 8 + i));
-    ASSERT_EQ(cache.size(), 6u);
-    cache.setCapacity(2);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 4u);
-    // The two survivors are the most recently inserted.
-    const auto keys = cache.keysMruFirst();
-    ASSERT_EQ(keys.size(), 2u);
-    EXPECT_EQ(keys[0], EvalCache::keyOf("TC", makeWorkload("w", 13)));
-    EXPECT_EQ(keys[1], EvalCache::keyOf("TC", makeWorkload("w", 12)));
-}
-
-TEST(CachePersist, RoundTripIsBitIdenticalAndKeepsRecencyOrder)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    const Accelerator &hl = ev.design("HighLight");
-    const Accelerator &s2ta = ev.design("S2TA");
-    TempFile file("cache_roundtrip.evalcache");
-
-    EvalCache cache;
-    cache.evaluate(tc, makeWorkload("plain", 64));
-    GemmWorkload hss = makeWorkload("structured", 128);
-    hss.a = OperandSparsity::structured(
-        HssSpec({GhPattern(2, 4), GhPattern(2, 3)}));
-    cache.evaluate(hl, hss);
-    // An unsupported result (with its note) must survive the trip too.
-    GemmWorkload dense = makeWorkload("dense", 32);
-    dense.b = OperandSparsity::dense();
-    cache.evaluate(s2ta, dense);
-    ASSERT_EQ(cache.size(), 3u);
-    ASSERT_TRUE(cache.saveFile(file.path));
-
-    EvalCache loaded;
-    ASSERT_TRUE(loaded.loadFile(file.path));
-    EXPECT_EQ(loaded.size(), 3u);
-    EXPECT_EQ(loaded.keysMruFirst(), cache.keysMruFirst());
-    // Loading counts neither hits nor misses nor insertions.
-    EXPECT_EQ(loaded.stats().lookups(), 0u);
-    EXPECT_EQ(loaded.stats().insertions, 0u);
-
-    std::vector<std::pair<const Accelerator *, GemmWorkload>> cases;
-    cases.emplace_back(&tc, makeWorkload("plain", 64));
-    cases.emplace_back(&hl, hss);
-    cases.emplace_back(&s2ta, dense);
-    for (const auto &[accel, w] : cases) {
-        EvalResult orig, reloaded;
-        const auto key = EvalCache::keyOf(accel->name(), w);
-        ASSERT_TRUE(cache.lookup(key, w.name, &orig)) << key;
-        ASSERT_TRUE(loaded.lookup(key, w.name, &reloaded)) << key;
-        expectBitIdentical(orig, reloaded);
-    }
-}
-
-TEST(CachePersist, ConfigLoadsOnConstructAndSavesOnFlush)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    TempFile file("cache_config.evalcache");
-
-    EvalCacheConfig cfg;
-    cfg.file = file.path;
-    {
-        EvalCache cache(cfg); // no file yet: cold start
-        EXPECT_EQ(cache.size(), 0u);
-        cache.evaluate(tc, makeWorkload("w", 64));
-        ASSERT_EQ(cache.flush(), EvalCache::FlushStatus::Saved);
-    }
-    EvalCache warm(cfg);
-    EXPECT_EQ(warm.size(), 1u);
-    EvalResult r;
-    EXPECT_TRUE(warm.lookup(EvalCache::keyOf("TC", makeWorkload("w", 64)),
-                            "w", &r));
-
-    // No configured file -> flush is a no-op, distinct from failure.
-    EvalCache unconfigured;
-    EXPECT_EQ(unconfigured.flush(), EvalCache::FlushStatus::NoFile);
-
-    // A configured-but-unwritable file is a real failure.
-    EvalCacheConfig bad;
-    bad.file = "/nonexistent-dir/x.evalcache";
-    EvalCache unwritable(bad);
-    unwritable.evaluate(tc, makeWorkload("w", 96));
-    EXPECT_EQ(unwritable.flush(), EvalCache::FlushStatus::Failed);
-    // (the destructor re-flushes and warns; harmless here)
-}
-
-TEST(CachePersist, SaveMergesOnDiskEntriesResidentWins)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    const Accelerator &hl = ev.design("HighLight");
-    TempFile file("cache_merge.evalcache");
-
-    // Writer A persists {wa, shared}; writer B holds {wb, shared'}
-    // and saves to the same path afterwards. The file must end up
-    // with the union, and B's (resident) copy of the shared key must
-    // win over A's on-disk copy.
-    const auto wa = makeWorkload("only_a", 64);
-    const auto wb = makeWorkload("only_b", 128);
-    const auto shared = makeWorkload("shared", 256);
-    const std::string k_shared = EvalCache::keyOf("TC", shared);
-
-    EvalCache a;
-    a.evaluate(tc, wa);
-    a.insert(k_shared, ev.run("TC", makeWorkload("shared_from_a", 256)));
-    ASSERT_TRUE(a.saveFile(file.path));
-
-    EvalCache b;
-    b.evaluate(tc, wb);
-    const EvalResult b_shared =
-        ev.run("TC", makeWorkload("shared_from_b", 256));
-    b.insert(k_shared, b_shared);
-    const auto stats_before = b.stats();
-    ASSERT_TRUE(b.saveFile(file.path));
-
-    // Saving merges into the *file* only: B's resident cache and its
-    // stats are untouched.
-    EXPECT_EQ(b.size(), 2u);
-    EXPECT_EQ(b.stats().lookups(), stats_before.lookups());
-    EXPECT_EQ(b.stats().insertions, stats_before.insertions);
-    EXPECT_EQ(b.stats().evictions, stats_before.evictions);
-
-    EvalCache merged;
-    ASSERT_TRUE(merged.loadFile(file.path));
-    EXPECT_EQ(merged.size(), 3u);
-    EvalResult r;
-    EXPECT_TRUE(merged.lookup(EvalCache::keyOf("TC", wa), "a", &r));
-    EXPECT_TRUE(merged.lookup(EvalCache::keyOf("TC", wb), "b", &r));
-    ASSERT_TRUE(merged.lookup(k_shared, "s", &r));
-    expectBitIdentical(r, b_shared); // resident (B) copy won
-    // B's resident entries are hotter than A's merged-in tail.
-    const auto keys = merged.keysMruFirst();
-    ASSERT_EQ(keys.size(), 3u);
-    EXPECT_EQ(keys.back(), EvalCache::keyOf("TC", wa));
-
-    // Writing through a capacity-1 cache still persists the union:
-    // the merge happens in the file, not through the resident LRU.
-    EvalCache tiny;
-    tiny.setCapacity(1);
-    tiny.evaluate(hl, makeWorkload("only_tiny", 32));
-    ASSERT_TRUE(tiny.saveFile(file.path));
-    EXPECT_EQ(tiny.size(), 1u);
-    EXPECT_EQ(tiny.stats().evictions, 0u);
-    EvalCache all;
-    ASSERT_TRUE(all.loadFile(file.path));
-    EXPECT_EQ(all.size(), 4u);
-}
-
-TEST(CachePersist, LoadKeepsResidentEntryOverFileEntry)
-{
-    const Evaluator ev;
-    TempFile file("cache_load_precedence.evalcache");
-
-    const auto w = makeWorkload("w", 64);
+    EvalCache cache{EvalCacheConfig{}};
+    const GemmWorkload w = makeWorkload("first", 32);
     const std::string key = EvalCache::keyOf("TC", w);
 
-    EvalCache writer;
-    writer.insert(key, ev.run("TC", makeWorkload("from_file", 64)));
-    ASSERT_TRUE(writer.saveFile(file.path));
-
-    // A cache that already holds `key` keeps its own copy on load —
-    // the documented resident-wins precedence (fresh results beat
-    // whatever an earlier process persisted).
-    EvalCache reader;
-    const EvalResult mine = ev.run("TC", makeWorkload("resident", 64));
-    reader.insert(key, mine);
-    EXPECT_TRUE(reader.loadFile(file.path));
-    EXPECT_EQ(reader.size(), 1u);
     EvalResult r;
-    ASSERT_TRUE(reader.lookup(key, "w", &r));
-    expectBitIdentical(r, mine);
+    EXPECT_FALSE(cache.lookup(key, w.name, &r));
+    EXPECT_EQ(cache.stats().misses, 1u);
+
+    const EvalResult fresh = evaluateBest(tc, w);
+    cache.insert(key, fresh);
+    ASSERT_TRUE(cache.lookup(key, "second", &r));
+    EXPECT_EQ(r.workload, "second");
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().insertions, 1u);
+
+    // Apart from the name, a hit is the fresh evaluation bit for bit.
+    expectBitIdentical(r, evaluateBest(tc, makeWorkload("second", 32)));
 }
 
-TEST(CachePersist, CapacityAppliesToLoadedEntries)
+TEST(EvalCache, FirstInsertionWins)
 {
     const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    TempFile file("cache_cap.evalcache");
+    const GemmWorkload w = makeWorkload("w", 16);
+    const std::string key = EvalCache::keyOf("TC", w);
+    const EvalResult tc = evaluateBest(ev.design("TC"), w);
+    const EvalResult stc = evaluateBest(ev.design("STC"), w);
 
     EvalCache cache;
-    for (int i = 0; i < 5; ++i)
-        cache.evaluate(tc, makeWorkload("w", 8 + i));
-    ASSERT_TRUE(cache.saveFile(file.path));
-
-    EvalCacheConfig cfg;
-    cfg.file = file.path;
-    cfg.capacity = 2;
-    EvalCache bounded(cfg);
-    EXPECT_EQ(bounded.size(), 2u);
-    // The hottest (first-in-file) entries survive.
-    const auto all_keys = cache.keysMruFirst();
-    EXPECT_EQ(bounded.keysMruFirst(),
-              std::vector<std::string>(all_keys.begin(),
-                                       all_keys.begin() + 2));
-}
-
-TEST(CachePersist, MissingCorruptAndStaleFilesAreIgnored)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-
-    EvalCache cache;
-    EXPECT_FALSE(cache.loadFile("/nonexistent/path/x.evalcache"));
-
-    // Garbage header.
-    TempFile garbage("cache_garbage.evalcache");
-    {
-        std::ofstream out(garbage.path);
-        out << "not a cache file\nat all\n";
-    }
-    EXPECT_FALSE(cache.loadFile(garbage.path));
-    EXPECT_EQ(cache.size(), 0u);
-
-    // Stale version header.
-    TempFile stale("cache_stale.evalcache");
-    {
-        std::ofstream out(stale.path);
-        out << "highlight-evalcache v999\n1\nkey bogus\n";
-    }
-    EXPECT_FALSE(cache.loadFile(stale.path));
-    EXPECT_EQ(cache.size(), 0u);
-
-    // A huge (corrupt) entry count must fail the parse, not OOM.
-    TempFile hugecount("cache_hugecount.evalcache");
-    {
-        std::ofstream out(hugecount.path);
-        out << "highlight-evalcache v1\n18446744073709551615\n";
-    }
-    EXPECT_FALSE(cache.loadFile(hugecount.path));
-    EXPECT_EQ(cache.size(), 0u);
-
-    // Truncated valid file: parse must fail wholesale, not half-load.
-    TempFile truncated("cache_truncated.evalcache");
-    {
-        EvalCache full;
-        for (int i = 0; i < 3; ++i)
-            full.evaluate(tc, makeWorkload("w", 8 + i));
-        ASSERT_TRUE(full.saveFile(truncated.path, ArtifactFormat::Text));
-        std::ifstream in(truncated.path);
-        std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-        in.close();
-        std::ofstream out(truncated.path, std::ios::trunc);
-        out << content.substr(0, content.size() / 2);
-    }
-    EXPECT_FALSE(cache.loadFile(truncated.path));
-    EXPECT_EQ(cache.size(), 0u);
-
-    // Corrupted number field.
-    TempFile corrupt("cache_corrupt.evalcache");
-    {
-        EvalCache full;
-        full.evaluate(tc, makeWorkload("w", 64));
-        ASSERT_TRUE(full.saveFile(corrupt.path, ArtifactFormat::Text));
-        std::ifstream in(corrupt.path);
-        std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-        in.close();
-        const auto pos = content.find("cycles ");
-        ASSERT_NE(pos, std::string::npos);
-        content.replace(pos, 7, "cycles @");
-        std::ofstream out(corrupt.path, std::ios::trunc);
-        out << content;
-    }
-    EXPECT_FALSE(cache.loadFile(corrupt.path));
-    EXPECT_EQ(cache.size(), 0u);
-
-    // After all the rejections the cache still works.
-    cache.evaluate(tc, makeWorkload("w", 64));
+    cache.insert(key, tc);
+    cache.insert(key, stc);
+    EXPECT_EQ(cache.stats().insertions, 1u);
     EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(CachePersist, BinaryRoundTripMatchesTextExactly)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    const Accelerator &hl = ev.design("HighLight");
-    TempFile text_file("fmt_text.evalcache");
-    TempFile bin_file("fmt_bin.evalcache");
-
-    EvalCache cache;
-    GemmWorkload hss = makeWorkload("hss", 128);
-    hss.a = OperandSparsity::structured(
-        HssSpec({GhPattern(2, 4), GhPattern(4, 8)}));
-    cache.evaluate(tc, makeWorkload("plain", 64));
-    cache.evaluate(hl, hss);
-    ASSERT_TRUE(cache.saveFile(text_file.path, ArtifactFormat::Text));
-    ASSERT_TRUE(cache.saveFile(bin_file.path, ArtifactFormat::Binary));
-
-    // Decoded contents must be equal across the two formats: same
-    // keys, same order, every result field bit-identical.
-    EvalCache from_text, from_bin;
-    ASSERT_TRUE(from_text.loadFile(text_file.path));
-    ASSERT_TRUE(from_bin.loadFile(bin_file.path));
-    EXPECT_EQ(from_text.keysMruFirst(), cache.keysMruFirst());
-    EXPECT_EQ(from_bin.keysMruFirst(), cache.keysMruFirst());
-    for (const auto &key : cache.keysMruFirst()) {
-        EvalResult a, b;
-        ASSERT_TRUE(from_text.lookup(key, "x", &a)) << key;
-        ASSERT_TRUE(from_bin.lookup(key, "x", &b)) << key;
-        expectBitIdentical(a, b);
-    }
-}
-
-TEST(CachePersist, LoadDistinguishesMissingFromRejected)
-{
-    EvalCache cache;
-    TempFile missing("load_missing.evalcache");
-    EXPECT_EQ(cache.load(missing.path), EvalCache::LoadStatus::NoFile);
-
-    // Rejection looks the same whichever codec the file pretended to
-    // be: corrupt text and a truncated binary container both read
-    // Rejected, never NoFile (entries exist but were discarded).
-    TempFile bad_text("load_bad_text.evalcache");
-    {
-        std::ofstream out(bad_text.path);
-        out << "highlight-evalcache v999\n1\nkey bogus\n";
-    }
-    EXPECT_EQ(cache.load(bad_text.path),
-              EvalCache::LoadStatus::Rejected);
-
-    const Evaluator ev;
-    TempFile bad_bin("load_bad_bin.evalcache");
-    std::string full_bytes;
-    {
-        EvalCache full;
-        full.evaluate(ev.design("TC"), makeWorkload("w", 64));
-        ASSERT_TRUE(
-            full.saveFile(bad_bin.path, ArtifactFormat::Binary));
-        std::ifstream in(bad_bin.path, std::ios::binary);
-        full_bytes.assign((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-    }
-    // Cut down to the bare header, nothing survives to salvage:
-    // still Rejected, no quarantine, the cache untouched.
-    {
-        std::ofstream out(bad_bin.path,
-                          std::ios::trunc | std::ios::binary);
-        out << full_bytes.substr(0, 48);
-    }
-    EXPECT_EQ(cache.load(bad_bin.path),
-              EvalCache::LoadStatus::Rejected);
-    EXPECT_EQ(cache.size(), 0u);
-
-    // Missing only its footer, the same container *salvages*: the
-    // entry chunks are intact, so the load warm-starts from them and
-    // quarantines the damaged file instead of discarding the work.
-    {
-        std::ofstream out(bad_bin.path,
-                          std::ios::trunc | std::ios::binary);
-        out << full_bytes.substr(0, full_bytes.size() - 7);
-    }
-    const std::string quarantine =
-        bad_bin.path + ".corrupt." + std::to_string(::getpid());
-    EXPECT_EQ(cache.load(bad_bin.path),
-              EvalCache::LoadStatus::Salvaged);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_TRUE(std::ifstream(quarantine).good());
-    EXPECT_FALSE(std::ifstream(bad_bin.path).good()); // moved aside
-    std::remove(quarantine.c_str());
-
-    TempFile good("load_good.evalcache");
-    {
-        EvalCache full;
-        full.evaluate(ev.design("TC"), makeWorkload("w", 64));
-        ASSERT_TRUE(full.saveFile(good.path));
-    }
-    EXPECT_EQ(cache.load(good.path), EvalCache::LoadStatus::Loaded);
-    EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(CachePersist, ConstructorWarnsOnRejectedFileNotOnMissing)
-{
-    // A missing file is the normal first run: silent cold start.
-    TempFile missing("ctor_missing.evalcache");
-    EvalCacheConfig cfg;
-    cfg.file = missing.path;
-    {
-        testing::internal::CaptureStderr();
-        EvalCache cache(cfg);
-        EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-        cfg.file.clear(); // silence the destructor flush
-        std::remove(missing.path.c_str());
-    }
-
-    // A present-but-rejected file means computed results are being
-    // discarded — that must be said out loud.
-    TempFile corrupt("ctor_corrupt.evalcache");
-    {
-        std::ofstream out(corrupt.path);
-        out << "highlight-evalcache v999\n1\nkey bogus\n";
-    }
-    cfg.file = corrupt.path;
-    testing::internal::CaptureStderr();
-    {
-        EvalCache cache(cfg);
-        EXPECT_EQ(cache.size(), 0u);
-    }
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("starting cold"), std::string::npos) << err;
-    EXPECT_NE(err.find(corrupt.path), std::string::npos) << err;
-}
-
-TEST(CachePersist, MergeOnFlushUnionsAcrossMixedFormats)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    TempFile file("mixed_merge.evalcache");
-
-    // Writer A flushes text; writer B, sharing the path, flushes
-    // binary. The merge re-read auto-detects, so B's save must carry
-    // A's entries over into the binary file — persistence semantics
-    // (union, resident-wins) are format-independent.
-    const auto wa = makeWorkload("only_a", 64);
-    const auto wb = makeWorkload("only_b", 128);
-    EvalCache a;
-    a.evaluate(tc, wa);
-    ASSERT_TRUE(a.saveFile(file.path, ArtifactFormat::Text));
-
-    EvalCache b;
-    b.evaluate(tc, wb);
-    ASSERT_TRUE(b.saveFile(file.path, ArtifactFormat::Binary));
-
-    EvalCache merged;
-    ASSERT_TRUE(merged.loadFile(file.path));
-    EXPECT_EQ(merged.size(), 2u);
-    // B resident first (MRU-first), then A's disk-only entry colder.
-    EXPECT_EQ(merged.keysMruFirst(),
-              (std::vector<std::string>{EvalCache::keyOf("TC", wb),
-                                        EvalCache::keyOf("TC", wa)}));
-
-    // And back: a text flush over a binary file keeps the union too.
-    EvalCache c;
-    c.evaluate(tc, makeWorkload("only_c", 256));
-    ASSERT_TRUE(c.saveFile(file.path, ArtifactFormat::Text));
-    EvalCache all;
-    ASSERT_TRUE(all.loadFile(file.path));
-    EXPECT_EQ(all.size(), 3u);
-}
-
-/** A synthetic (Evaluator-free) result distinguishable by `salt`. */
-EvalResult
-syntheticResult(int salt)
-{
     EvalResult r;
-    r.design = "TC";
-    r.workload = "synthetic " + std::to_string(salt);
-    r.supported = (salt % 7) != 3;
-    r.note = r.supported ? "" : "synthetic unsupported";
-    r.cycles = 1000.0 + salt;
-    r.clock_mhz = 940.0;
-    r.addEnergy("mac", 1.5 * salt);
-    r.addEnergy("sram", 0.25 * salt + 0.125);
-    return r;
-}
-
-TEST(CacheSalvage, DamagedBinaryWarmStartsAndQuarantines)
-{
-    TempFile file("salvage_warm.evalcache");
-    const std::string quarantine =
-        file.path + ".corrupt." + std::to_string(::getpid());
-    std::remove(quarantine.c_str());
-
-    // 40 entries = several 16-entry chunks, so a deep truncation
-    // still leaves whole intact chunks to warm-start from.
-    EvalCache writer;
-    for (int i = 0; i < 40; ++i)
-        writer.insert("key_" + std::to_string(i), syntheticResult(i));
-    ASSERT_TRUE(writer.saveFile(file.path, ArtifactFormat::Binary));
-    {
-        std::ifstream in(file.path, std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-        in.close();
-        std::ofstream out(file.path,
-                          std::ios::trunc | std::ios::binary);
-        out << bytes.substr(0, bytes.size() * 6 / 10);
-    }
-
-    EvalCache cache;
-    EXPECT_EQ(cache.load(file.path), EvalCache::LoadStatus::Salvaged);
-    // Whole chunks, some but not all — and entry contents bit-exact
-    // (the file stores MRU first, so the most recent keys survive).
-    EXPECT_GT(cache.size(), 0u);
-    EXPECT_LT(cache.size(), 40u);
-    EXPECT_EQ(cache.size() % 16, 0u);
-    EvalResult r;
-    ASSERT_TRUE(cache.lookup("key_39", "w", &r));
-    expectBitIdentical(r, syntheticResult(39));
-
-    // The damaged file moved aside for postmortem; the next flush
-    // rebuilds a healthy cache at the original path.
-    EXPECT_TRUE(std::ifstream(quarantine).good());
-    EXPECT_FALSE(std::ifstream(file.path).good());
-    const std::size_t salvaged = cache.size();
-    ASSERT_TRUE(cache.saveFile(file.path));
-    EvalCache healed;
-    EXPECT_EQ(healed.load(file.path), EvalCache::LoadStatus::Loaded);
-    EXPECT_EQ(healed.size(), salvaged);
-    std::remove(quarantine.c_str());
-}
-
-TEST(CacheSalvage, SaveSweepsOrphanedTempsOfDeadWriters)
-{
-    TempFile file("sweep_orphans.evalcache");
-    // pid 999999999 exceeds every Linux pid_max: guaranteed dead. The
-    // live temp uses our own pid — a writer that is demonstrably
-    // alive — and must survive the sweep.
-    const std::string dead_tmp = file.path + ".tmp.999999999.0";
-    const std::string live_tmp =
-        file.path + ".tmp." + std::to_string(::getpid()) + ".7";
-    {
-        std::ofstream(dead_tmp) << "half-written wreckage";
-        std::ofstream(live_tmp) << "in-flight write";
-    }
-
-    EvalCache cache;
-    cache.insert("k", syntheticResult(1));
-    ASSERT_TRUE(cache.saveFile(file.path));
-    EXPECT_FALSE(std::ifstream(dead_tmp).good()) << "orphan not swept";
-    EXPECT_TRUE(std::ifstream(live_tmp).good())
-        << "live writer's temp must not be touched";
-    std::remove(live_tmp.c_str());
-}
-
-TEST(CacheSalvage, FlushRetriesOnceOnTransientWriteFailure)
-{
-    TempFile file("retry_flush.evalcache");
-    EvalCache cache;
-    cache.insert("k", syntheticResult(2));
-
-    // One transient fault: the in-flush retry absorbs it silently.
-    ::setenv("HIGHLIGHT_FAILPOINTS", "evalcache-save-write:error:1", 1);
-    failpointsReset();
-    EXPECT_TRUE(cache.saveFile(file.path));
-    EvalCache check;
-    EXPECT_TRUE(check.loadFile(file.path));
-    EXPECT_EQ(check.size(), 1u);
-
-    // A persistent fault defeats the single retry: the flush reports
-    // failure and the previous file contents stay untouched.
-    ::setenv("HIGHLIGHT_FAILPOINTS", "evalcache-save-write:error", 1);
-    failpointsReset();
-    cache.insert("k2", syntheticResult(3));
-    EXPECT_FALSE(cache.saveFile(file.path));
-    EvalCache old;
-    EXPECT_TRUE(old.loadFile(file.path));
-    EXPECT_EQ(old.size(), 1u);
-
-    // The pre-lock site fails the whole flush before it touches
-    // anything — no lockfile litter afterwards.
-    ::setenv("HIGHLIGHT_FAILPOINTS", "evalcache-save:error", 1);
-    failpointsReset();
-    EXPECT_FALSE(cache.saveFile(file.path));
-    EXPECT_FALSE(
-        std::ifstream(FileLock::lockPathFor(file.path)).good());
-
-    ::unsetenv("HIGHLIGHT_FAILPOINTS");
-    failpointsReset();
-}
-
-TEST(CacheConfig, FromEnvReadsCacheFormat)
-{
-    const char *prev = std::getenv("HIGHLIGHT_CACHE_FORMAT");
-    const std::string saved = prev ? prev : "";
-
-    ::unsetenv("HIGHLIGHT_CACHE_FORMAT");
-    EXPECT_EQ(EvalCacheConfig::fromEnv().format,
-              ArtifactFormat::Binary);
-    ::setenv("HIGHLIGHT_CACHE_FORMAT", "text", 1);
-    EXPECT_EQ(EvalCacheConfig::fromEnv().format, ArtifactFormat::Text);
-    // Junk warns and falls back to the binary default rather than
-    // silently switching formats on a typo.
-    ::setenv("HIGHLIGHT_CACHE_FORMAT", "txet", 1);
-    EXPECT_EQ(EvalCacheConfig::fromEnv().format,
-              ArtifactFormat::Binary);
-
-    if (prev)
-        ::setenv("HIGHLIGHT_CACHE_FORMAT", saved.c_str(), 1);
-    else
-        ::unsetenv("HIGHLIGHT_CACHE_FORMAT");
+    ASSERT_TRUE(cache.lookup(key, w.name, &r));
+    expectBitIdentical(r, tc);
 }
 
 } // namespace

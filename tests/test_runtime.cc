@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for the parallel evaluation runtime: the thread pool's
+ * Unit tests for the evaluation runtime: the thread pool's
  * determinism and exception safety, the eval cache's keying and
- * hit/miss accounting, the batch runner's dedupe, and — the load-
- * bearing guarantee — bit-identical results between the serial
- * fallback and the N-thread path for runDnn, rankAblation, the
- * Pareto sweep, and per-job-seeded microsim fidelity runs.
+ * hit/miss accounting, the Evaluator's serial memoized paths (exact
+ * stats, runDnn equal to the serial evaluateBest reduction), and
+ * bit-identical results between one and N pool threads for
+ * rankAblation, the Pareto frontier mask, and per-job-seeded microsim
+ * fidelity runs.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "core/evaluator.hh"
 #include "core/explorer.hh"
@@ -21,7 +23,6 @@
 #include "dnn/resnet50.hh"
 #include "dnn/transformer.hh"
 #include "microsim/simulator.hh"
-#include "runtime/batch_runner.hh"
 #include "runtime/eval_cache.hh"
 #include "runtime/thread_pool.hh"
 #include "sparsity/sparsify.hh"
@@ -154,7 +155,7 @@ TEST(EvalCache, HitReturnsPatchedNameAndCounts)
     EXPECT_EQ(cache.stats().misses, 1u);
 }
 
-TEST(BatchRunner, DedupesWithinBatchDeterministically)
+TEST(Evaluator, RunBatchCountsRepeatsExactly)
 {
     const Evaluator ev;
     const Accelerator &tc = ev.design("TC");
@@ -167,34 +168,22 @@ TEST(BatchRunner, DedupesWithinBatchDeterministically)
         jobs.push_back({&tc, w});
     }
 
-    for (int threads : {1, 4}) {
-        ThreadPool pool(threads);
-        EvalCache cache;
-        const auto results = BatchRunner(&cache, &pool).run(jobs);
-        ASSERT_EQ(results.size(), jobs.size());
-        // One compute, five in-batch hits — regardless of threads.
-        EXPECT_EQ(cache.stats().misses, 1u);
-        EXPECT_EQ(cache.stats().hits, 5u);
-        EXPECT_EQ(cache.size(), 1u);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            EXPECT_EQ(results[i].workload, jobs[i].workload.name);
-            EXPECT_EQ(results[i].cycles, results[0].cycles);
-        }
+    const auto results = ev.runBatch(jobs);
+    ASSERT_EQ(results.size(), jobs.size());
+    // One compute, five hits.
+    EXPECT_EQ(ev.cacheStats().misses, 1u);
+    EXPECT_EQ(ev.cacheStats().hits, 5u);
+    EXPECT_EQ(ev.cacheStats().insertions, 1u);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].workload, jobs[i].workload.name);
+        EXPECT_EQ(results[i].cycles, results[0].cycles);
     }
-}
 
-TEST(BatchRunner, NullCacheEvaluatesEveryJob)
-{
-    const Evaluator ev;
-    const Accelerator &tc = ev.design("TC");
-    GemmWorkload w;
-    w.name = "plain";
-    w.m = w.k = w.n = 64;
-    ThreadPool pool(2);
-    const auto results =
-        BatchRunner(nullptr, &pool).run({{&tc, w}, {&tc, w}});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].cycles, results[1].cycles);
+    // run() shares the same cache.
+    w.name = "single";
+    EXPECT_EQ(ev.run("TC", w).workload, "single");
+    EXPECT_EQ(ev.cacheStats().hits, 6u);
+    EXPECT_EQ(ev.cacheStats().misses, 1u);
 }
 
 /** Full comparison of two DNN eval results, bit-exact. */
@@ -214,60 +203,71 @@ expectDnnBitIdentical(const DnnEvalResult &a, const DnnEvalResult &b)
     }
 }
 
-TEST(ParallelEquivalence, RunDnnIsBitIdenticalAcrossThreadCounts)
+/** runDnn's reduction, spelled out over serial evaluateBest. */
+DnnEvalResult
+directRunDnn(const Evaluator &ev, const DnnModel &model, DnnName nm,
+             const DnnScenario &sc)
 {
-    GlobalPoolGuard guard;
+    DnnEvalResult out;
+    out.design = sc.design;
+    out.accuracy_loss =
+        AccuracyModel::loss(nm, sc.approach, sc.weight_sparsity);
+    const Accelerator &accel = ev.design(sc.design);
+    for (const auto &w : ev.buildDnnWorkloads(model, sc)) {
+        EvalResult r = evaluateBest(accel, w);
+        if (!r.supported) {
+            out.supported = false;
+            out.note = msgOf("layer ", r.workload, ": ", r.note);
+            out.per_layer.clear();
+            out.total_energy_pj = 0.0;
+            out.total_cycles = 0.0;
+            return out;
+        }
+        out.total_energy_pj += r.totalEnergyPj();
+        out.total_cycles += r.cycles;
+        out.per_layer.push_back(std::move(r));
+    }
+    return out;
+}
+
+TEST(Evaluator, RunDnnMatchesSerialEvaluateBestReduction)
+{
     const DnnScenario scenarios[] = {
         {"HighLight", PruningApproach::Hss, 0.75},
         {"DSTC", PruningApproach::Unstructured, 0.8},
         {"TC", PruningApproach::Dense, 0.0},
+        {"TC", PruningApproach::Channel, 0.5},
+        {"S2TA", PruningApproach::OneRankGh, 0.625},
     };
     const auto model = resnet50Model();
+    const Evaluator ev;
     for (const auto &sc : scenarios) {
-        ThreadPool::setGlobalThreads(1);
-        const Evaluator serial_ev;
-        const auto serial =
-            serial_ev.runDnn(model, DnnName::ResNet50, sc);
-
-        ThreadPool::setGlobalThreads(4);
-        const Evaluator parallel_ev;
-        const auto parallel =
-            parallel_ev.runDnn(model, DnnName::ResNet50, sc);
-
-        expectDnnBitIdentical(serial, parallel);
-        // The hit/miss accounting is deterministic too.
-        EXPECT_EQ(serial_ev.cacheStats().hits,
-                  parallel_ev.cacheStats().hits);
-        EXPECT_EQ(serial_ev.cacheStats().misses,
-                  parallel_ev.cacheStats().misses);
+        const auto memo = ev.runDnn(model, DnnName::ResNet50, sc);
+        expectDnnBitIdentical(
+            memo, directRunDnn(ev, model, DnnName::ResNet50, sc));
+        EXPECT_TRUE(memo.supported) << sc.design;
     }
 }
 
-TEST(ParallelEquivalence, RunDnnUnsupportedMatchesSerialNote)
+TEST(Evaluator, RunDnnUnsupportedNamesFirstFailingLayer)
 {
-    GlobalPoolGuard guard;
-    // S2TA cannot run Transformer-Big's dense attention GEMMs; the
-    // parallel path must report the first failing layer in layer
-    // order, exactly like the serial early-exit did.
+    // S2TA cannot run Transformer-Big's dense attention GEMMs; runDnn
+    // must report the first failing layer in layer order.
     const DnnScenario sc{"S2TA", PruningApproach::OneRankGh, 0.5};
     const auto model = transformerBigModel();
+    const Evaluator ev;
+    const auto memo = ev.runDnn(model, DnnName::TransformerBig, sc);
+    const auto direct =
+        directRunDnn(ev, model, DnnName::TransformerBig, sc);
 
-    ThreadPool::setGlobalThreads(1);
-    const auto serial =
-        Evaluator().runDnn(model, DnnName::TransformerBig, sc);
-    ThreadPool::setGlobalThreads(4);
-    const auto parallel =
-        Evaluator().runDnn(model, DnnName::TransformerBig, sc);
-
-    EXPECT_FALSE(serial.supported);
-    EXPECT_FALSE(parallel.supported);
-    EXPECT_EQ(serial.note, parallel.note);
+    EXPECT_FALSE(memo.supported);
+    EXPECT_FALSE(memo.note.empty());
+    EXPECT_EQ(memo.note, direct.note);
+    expectDnnBitIdentical(memo, direct);
 }
 
-TEST(ParallelEquivalence, CacheDedupesRepeatedLayerShapes)
+TEST(Evaluator, CacheDedupesRepeatedLayerShapes)
 {
-    GlobalPoolGuard guard;
-    ThreadPool::setGlobalThreads(4);
     const Evaluator ev;
     const auto model = resnet50Model();
     const DnnScenario sc{"HighLight", PruningApproach::Hss, 0.75};
